@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,11 +16,12 @@ func main() {
 	kernels := []string{"stencil", "gups", "branchy", "matblock"}
 	const insts = 20_000
 
-	base, err := shelfsim.RunKernels(shelfsim.Base64(4), kernels, insts)
+	ctx := context.Background()
+	base, err := shelfsim.Run(ctx, shelfsim.Request{Preset: "base64", Kernels: kernels, Insts: insts})
 	if err != nil {
 		log.Fatal(err)
 	}
-	shelf, err := shelfsim.RunKernels(shelfsim.Shelf64(4, true), kernels, insts)
+	shelf, err := shelfsim.Run(ctx, shelfsim.Request{Preset: "shelf64-opt", Kernels: kernels, Insts: insts})
 	if err != nil {
 		log.Fatal(err)
 	}

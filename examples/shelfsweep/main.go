@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,7 +18,8 @@ func main() {
 	kernels := []string{"hashprobe", "ilpmax", "reduce", "callret"}
 	const insts = 15_000
 
-	base, err := shelfsim.RunKernels(shelfsim.Base64(4), kernels, insts)
+	ctx := context.Background()
+	base, err := shelfsim.Run(ctx, shelfsim.Request{Preset: "base64", Kernels: kernels, Insts: insts})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func main() {
 			cfg.Steer = shelfsim.SteerAllIQ
 		}
 		cfg.Name = fmt.Sprintf("shelf%d", size)
-		res, err := shelfsim.RunKernels(cfg, kernels, insts)
+		res, err := shelfsim.Run(ctx, shelfsim.Request{Config: &cfg, Kernels: kernels, Insts: insts})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,12 @@ func main() {
 
 	for _, threads := range []int{1, 2, 4, 8} {
 		mix := shelfsim.PaperMixes(threads)[0]
-		res, err := shelfsim.RunMix(shelfsim.Base128(threads), mix.Kernels, insts)
+		kernels := make([]string, len(mix.Kernels))
+		for i, k := range mix.Kernels {
+			kernels[i] = k.Name
+		}
+		cfg := shelfsim.Base128(threads)
+		res, err := shelfsim.Run(context.Background(), shelfsim.Request{Config: &cfg, Kernels: kernels, Insts: insts})
 		if err != nil {
 			log.Fatal(err)
 		}

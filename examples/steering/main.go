@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,6 +30,7 @@ func main() {
 	}
 
 	fmt.Printf("%-22s %10s %10s %10s\n", "policy", "IPC", "shelved", "squashes")
+	ctx := context.Background()
 	for _, p := range policies {
 		cfg := shelfsim.Shelf64(4, true)
 		cfg.Steer = p.steer
@@ -36,7 +38,7 @@ func main() {
 			cfg.CoarseInterval = 1000
 		}
 		cfg.Name = p.name
-		res, err := shelfsim.RunKernels(cfg, kernels, insts)
+		res, err := shelfsim.Run(ctx, shelfsim.Request{Config: &cfg, Kernels: kernels, Insts: insts})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -265,9 +265,10 @@ func (c *Core) issueOne(u *uop, now int64) {
 	}
 
 	lat := int64(u.inst.Op.Latency())
+	src := LoadFromCache
 	switch u.inst.Op {
 	case isa.OpLoad:
-		c.issueLoad(t, u, now)
+		src = c.issueLoad(t, u, now)
 	case isa.OpStore:
 		u.addrReadyCycle = now + 1
 		u.completeCycle = now + 1
@@ -275,7 +276,6 @@ func (c *Core) issueOne(u *uop, now int64) {
 		if u.toShelf {
 			c.coalesceShelfStore(t, u, now)
 		}
-		c.observeMem(MemStoreIssue, u, now)
 		c.stats.LSQSearches++ // address CAM check on younger loads
 	case isa.OpBranch:
 		u.completeCycle = now + lat
@@ -298,17 +298,19 @@ func (c *Core) issueOne(u *uop, now int64) {
 	}
 
 	c.obs.RecordIssue(u.inst.Op, u.toShelf, u.issueCycle-u.dispatchCycle, u.completeCycle-u.issueCycle)
-	c.traceUop("issue", u, now)
-	if c.hooks.issueFn != nil {
-		c.hooks.issueFn(u.tid, u.seq, u.toShelf)
+	if c.observer != nil {
+		ev := uopEvent(EventIssue, u, now)
+		ev.Source, ev.ProviderSeq = src, u.forwardedFromSeq // -1 unless forwarded
+		c.observer(ev)
 	}
 	c.events.push(event{cycle: u.completeCycle, gseq: u.gseq, u: u})
 }
 
 // issueLoad resolves a load's timing: store-to-load forwarding from the
 // youngest matching elder store, a shelf load's forward from a younger
-// already-issued matching load (§III-D), or a cache access.
-func (c *Core) issueLoad(t *thread, u *uop, now int64) {
+// already-issued matching load (§III-D), or a cache access, and reports
+// which one supplied the value.
+func (c *Core) issueLoad(t *thread, u *uop, now int64) LoadSource {
 	u.addrReadyCycle = now + 1
 	line := u.inst.Addr >> 3
 
@@ -332,8 +334,7 @@ func (c *Core) issueLoad(t *thread, u *uop, now int64) {
 		u.completeCycle = now + 2
 		t.loadForwards++
 		c.stats.LoadForwards++
-		c.observeLoad(u, now, LoadFromStore, provider.seq)
-		return
+		return LoadFromStore
 	}
 
 	// Shelf loads scan younger IQ loads that issued early: a matching one
@@ -351,15 +352,14 @@ func (c *Core) issueLoad(t *thread, u *uop, now int64) {
 			u.completeCycle = maxInt64(now+2, v.completeCycle)
 			t.loadForwards++
 			c.stats.LoadForwards++
-			c.observeLoad(u, now, LoadFromLoad, v.seq)
-			return
+			return LoadFromLoad
 		}
 	}
 
 	ready, lvl := c.hier.Load(u.inst.Addr, now+1)
 	u.completeCycle = maxInt64(ready, now+3)
 	c.stats.LoadsByLevel[lvl]++
-	c.observeLoad(u, now, LoadFromCache, -1)
+	return LoadFromCache
 }
 
 // coalesceShelfStore marks a shelf store that merges into the next older

@@ -8,7 +8,7 @@ import (
 )
 
 // memmodel_test.go holds directed tests for the memory-model observation
-// points (SetMemObserver) and the store-to-load forwarding / shelf-store
+// points of the event stream (SetObserver) and the store-to-load forwarding / shelf-store
 // coalescing edge cases the litmus checker relies on: same-cycle
 // store/load forwarding, forwarding across a coalesced pair, the
 // store-buffer coalescing window, and forwarding from a store that is
@@ -16,46 +16,46 @@ import (
 // core), so the tests assert directly on the captured event stream.
 
 // captureMem attaches a recording observer and returns the event slice.
-func captureMem(c *Core) *[]MemEvent {
-	events := &[]MemEvent{}
-	c.SetMemObserver(func(ev MemEvent) { *events = append(*events, ev) })
+func captureMem(c *Core) *[]Event {
+	events := &[]Event{}
+	c.SetObserver(func(ev Event) { *events = append(*events, ev) })
 	return events
 }
 
-func loadIssues(events []MemEvent, addr uint64) []MemEvent {
-	var out []MemEvent
+func loadIssues(events []Event, addr uint64) []Event {
+	var out []Event
 	for _, ev := range events {
-		if ev.Kind == MemLoadIssue && ev.Addr == addr {
+		if ev.Kind == EventIssue && ev.Op == isa.OpLoad && ev.Addr == addr {
 			out = append(out, ev)
 		}
 	}
 	return out
 }
 
-func storeIssues(events []MemEvent, addr uint64) []MemEvent {
-	var out []MemEvent
+func storeIssues(events []Event, addr uint64) []Event {
+	var out []Event
 	for _, ev := range events {
-		if ev.Kind == MemStoreIssue && ev.Addr == addr {
+		if ev.Kind == EventIssue && ev.Op == isa.OpStore && ev.Addr == addr {
 			out = append(out, ev)
 		}
 	}
 	return out
 }
 
-func commitSeqs(events []MemEvent, addr uint64) map[int64]bool {
+func commitSeqs(events []Event, addr uint64) map[int64]bool {
 	out := map[int64]bool{}
 	for _, ev := range events {
-		if ev.Kind == MemStoreCommit && ev.Addr == addr {
+		if ev.Kind == EventStoreCommit && ev.Addr == addr {
 			out[ev.Seq] = true
 		}
 	}
 	return out
 }
 
-func squashes(events []MemEvent) []MemEvent {
-	var out []MemEvent
+func squashes(events []Event) []Event {
+	var out []Event
 	for _, ev := range events {
-		if ev.Kind == MemSquash {
+		if ev.Kind == EventSquash {
 			out = append(out, ev)
 		}
 	}
@@ -195,7 +195,7 @@ func TestStoreBufferCoalesce(t *testing.T) {
 	// came from the store buffer, not from an in-window elder entry.
 	var elderRetire int64 = -1
 	for _, ev := range *events {
-		if ev.Kind == MemRetire && ev.Seq == elder.Seq {
+		if ev.Kind == EventRetire && ev.Seq == elder.Seq {
 			elderRetire = ev.Cycle
 		}
 	}

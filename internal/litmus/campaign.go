@@ -226,7 +226,7 @@ func runInstance(ctx context.Context, p Params, preset, steer string, kind confi
 		Attach: func(c *core.Core) {
 			cref = c
 			ch = NewChecker(threads)
-			c.SetMemObserver(ch.Observe)
+			c.SetObserver(ch.Observe)
 		},
 	})
 	if ch != nil {

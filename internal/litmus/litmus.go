@@ -9,11 +9,13 @@
 // matrix (config.FaultKind).
 //
 // Following QED (arxiv 2404.03113), the checker never enumerates
-// interleavings: it checks axioms over the observed value provenance the
-// core reports through SetMemObserver. In a timing simulator without data
-// values, provenance — which store (or cache state) supplied a load — is
-// the value's identity, so "reads the youngest matching elder store"
-// becomes a directly checkable proposition.
+// interleavings: it checks axioms over the observed value provenance in
+// the core's event stream (Core.SetObserver), keeping the memory ops'
+// issue, store-commit and retire events and every squash. In a timing
+// simulator without data values, provenance — which store (or cache
+// state) supplied a load — is the value's identity, so "reads the
+// youngest matching elder store" becomes a directly checkable
+// proposition.
 package litmus
 
 import (

@@ -84,40 +84,46 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 // Synthetic-event helpers: the checker is driven directly, without a core.
 
-func loadEv(seq, cycle int64, addr uint64, src core.LoadSource, prov int64, shelf bool) core.MemEvent {
-	return core.MemEvent{Kind: core.MemLoadIssue, Tid: 0, Seq: seq, Cycle: cycle,
+func loadEv(seq, cycle int64, addr uint64, src core.LoadSource, prov int64, shelf bool) core.Event {
+	return core.Event{Kind: core.EventIssue, Op: isa.OpLoad, Tid: 0, Seq: seq, Cycle: cycle,
 		Addr: addr, ToShelf: shelf, Source: src, ProviderSeq: prov}
 }
 
-func storeEv(seq, cycle int64, addr uint64, shelf, coalesced bool) core.MemEvent {
-	return core.MemEvent{Kind: core.MemStoreIssue, Tid: 0, Seq: seq, Cycle: cycle,
+func storeEv(seq, cycle int64, addr uint64, shelf, coalesced bool) core.Event {
+	return core.Event{Kind: core.EventIssue, Op: isa.OpStore, Tid: 0, Seq: seq, Cycle: cycle,
 		Addr: addr, ToShelf: shelf, Coalesced: coalesced, ProviderSeq: -1}
 }
 
-func commitEv(seq, cycle int64, addr uint64) core.MemEvent {
-	return core.MemEvent{Kind: core.MemStoreCommit, Tid: 0, Seq: seq, Cycle: cycle,
+func commitEv(seq, cycle int64, addr uint64) core.Event {
+	return core.Event{Kind: core.EventStoreCommit, Op: isa.OpStore, Tid: 0, Seq: seq, Cycle: cycle,
 		Addr: addr, ProviderSeq: -1}
 }
 
-func retireEv(seq, cycle int64, addr uint64) core.MemEvent {
-	return core.MemEvent{Kind: core.MemRetire, Tid: 0, Seq: seq, Cycle: cycle,
+func retireEv(op isa.OpClass, seq, cycle int64, addr uint64) core.Event {
+	return core.Event{Kind: core.EventRetire, Op: op, Tid: 0, Seq: seq, Cycle: cycle,
 		Addr: addr, ProviderSeq: -1}
 }
 
-func squashEv(fromSeq, cycle int64) core.MemEvent {
-	return core.MemEvent{Kind: core.MemSquash, Tid: 0, Seq: fromSeq, Cycle: cycle, ProviderSeq: -1}
+// nonMemEv builds an issue or retire event for an op that is not a memory
+// op; the checker must ignore it.
+func nonMemEv(kind core.EventKind, op isa.OpClass, seq, cycle int64) core.Event {
+	return core.Event{Kind: kind, Op: op, Tid: 0, Seq: seq, Cycle: cycle, ProviderSeq: -1}
+}
+
+func squashEv(fromSeq, cycle int64) core.Event {
+	return core.Event{Kind: core.EventSquash, Tid: 0, Seq: fromSeq, Cycle: cycle, ProviderSeq: -1}
 }
 
 const lineA = uint64(0x1000)
 
 func TestCheckerCleanSequence(t *testing.T) {
 	ch := NewChecker(1)
-	for _, ev := range []core.MemEvent{
+	for _, ev := range []core.Event{
 		storeEv(1, 2, lineA, false, false),
 		loadEv(2, 3, lineA, core.LoadFromStore, 1, false),
 		commitEv(1, 10, lineA),
-		retireEv(1, 10, lineA),
-		retireEv(2, 10, lineA),
+		retireEv(isa.OpStore, 1, 10, lineA),
+		retireEv(isa.OpLoad, 2, 10, lineA),
 	} {
 		ch.Observe(ev)
 	}
@@ -134,17 +140,17 @@ func TestCheckerAxioms(t *testing.T) {
 	cases := []struct {
 		name  string
 		axiom string
-		evs   []core.MemEvent
+		evs   []core.Event
 	}{
 		{
 			name:  "forward from unknown provider",
 			axiom: "fwd-provider",
-			evs:   []core.MemEvent{loadEv(2, 3, lineA, core.LoadFromStore, 99, false)},
+			evs:   []core.Event{loadEv(2, 3, lineA, core.LoadFromStore, 99, false)},
 		},
 		{
 			name:  "forward skips the youngest matching store",
 			axiom: "fwd-youngest",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				storeEv(2, 3, lineA, false, false),
 				loadEv(3, 4, lineA, core.LoadFromStore, 1, false),
@@ -153,7 +159,7 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "cache load ignores a live elder store",
 			axiom: "stale-load",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				loadEv(2, 4, lineA, core.LoadFromCache, -1, false),
 			},
@@ -161,7 +167,7 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "squashed store writes the cache",
 			axiom: "squashed-visible",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				squashEv(1, 3),
 				commitEv(1, 5, lineA),
@@ -170,7 +176,7 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "younger store commits before elder",
 			axiom: "commit-order",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				storeEv(2, 3, lineA, false, false),
 				commitEv(2, 5, lineA),
@@ -179,33 +185,33 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "program-order retire goes backwards",
 			axiom: "retire-order",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				storeEv(2, 3, lineA, false, false),
 				commitEv(1, 5, lineA),
 				commitEv(2, 6, lineA),
-				retireEv(2, 6, lineA),
-				retireEv(1, 7, lineA),
+				retireEv(isa.OpStore, 2, 6, lineA),
+				retireEv(isa.OpStore, 1, 7, lineA),
 			},
 		},
 		{
 			name:  "squashed op retires",
 			axiom: "squashed-visible",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				loadEv(2, 3, lineA, core.LoadFromCache, -1, false),
 				squashEv(2, 4),
-				retireEv(2, 5, lineA),
+				retireEv(isa.OpLoad, 2, 5, lineA),
 			},
 		},
 		{
 			name:  "retire of an unobserved op",
 			axiom: "retire-unknown",
-			evs:   []core.MemEvent{retireEv(42, 5, lineA)},
+			evs:   []core.Event{retireEv(isa.OpLoad, 42, 5, lineA)},
 		},
 		{
 			name:  "load-to-load forwarding outside the shelf",
 			axiom: "fwd-load",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				loadEv(5, 3, lineA, core.LoadFromCache, -1, false),
 				loadEv(2, 4, lineA, core.LoadFromLoad, 5, false),
 			},
@@ -213,7 +219,7 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "load chain observes a younger store",
 			axiom: "fwd-load-order",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(3, 2, lineA, false, false),
 				loadEv(5, 3, lineA, core.LoadFromStore, 3, false),
 				loadEv(2, 4, lineA, core.LoadFromLoad, 5, true),
@@ -222,39 +228,39 @@ func TestCheckerAxioms(t *testing.T) {
 		{
 			name:  "coalesced store without a victim",
 			axiom: "coalesce-source",
-			evs:   []core.MemEvent{storeEv(1, 2, lineA, true, true)},
+			evs:   []core.Event{storeEv(1, 2, lineA, true, true)},
 		},
 		{
 			name:  "store retires without committing",
 			axiom: "commit-missing",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
-				retireEv(1, 5, lineA),
+				retireEv(isa.OpStore, 1, 5, lineA),
 			},
 		},
 		{
 			name:  "load read the cache before its elder store committed",
 			axiom: "stale-final",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				commitEv(1, 9, lineA),
-				retireEv(1, 9, lineA),
+				retireEv(isa.OpStore, 1, 9, lineA),
 				loadEv(2, 5, lineA, core.LoadFromCache, -1, false),
-				retireEv(2, 12, lineA),
+				retireEv(isa.OpLoad, 2, 12, lineA),
 			},
 		},
 		{
 			name:  "forwarded load retires with a stale provider",
 			axiom: "fwd-final",
-			evs: []core.MemEvent{
+			evs: []core.Event{
 				storeEv(1, 2, lineA, false, false),
 				loadEv(3, 3, lineA, core.LoadFromStore, 1, false),
 				storeEv(2, 4, lineA, false, false),
 				commitEv(1, 6, lineA),
 				commitEv(2, 7, lineA),
-				retireEv(1, 7, lineA),
-				retireEv(2, 8, lineA),
-				retireEv(3, 9, lineA),
+				retireEv(isa.OpStore, 1, 7, lineA),
+				retireEv(isa.OpStore, 2, 8, lineA),
+				retireEv(isa.OpLoad, 3, 9, lineA),
 			},
 		},
 	}
@@ -298,14 +304,14 @@ func TestCheckerCoalesceVictims(t *testing.T) {
 	ch = NewChecker(1)
 	ch.Observe(storeEv(1, 2, lineA, true, false))
 	ch.Observe(commitEv(1, 4, lineA))
-	ch.Observe(retireEv(1, 4, lineA))
+	ch.Observe(retireEv(isa.OpStore, 1, 4, lineA))
 	// Within storeBufDrainCycles of the commit: legitimate.
 	ch.Observe(storeEv(2, 4+core.StoreBufDrainCycles-1, lineA, true, true))
 	if v := ch.Violations(); len(v) != 0 {
 		t.Fatalf("store-buffer coalesce flagged: %v", v)
 	}
 	// Past the drain window: no victim remains.
-	ch.Observe(retireEv(2, 30, lineA))
+	ch.Observe(retireEv(isa.OpStore, 2, 30, lineA))
 	ch.Observe(storeEv(3, 4+core.StoreBufDrainCycles+20, lineA, true, true))
 	found := false
 	for _, v := range ch.Violations() {
@@ -322,14 +328,14 @@ func TestCheckerCoalesceVictims(t *testing.T) {
 // re-issues with the same sequence number and retires cleanly.
 func TestCheckerSquashReplay(t *testing.T) {
 	ch := NewChecker(1)
-	for _, ev := range []core.MemEvent{
+	for _, ev := range []core.Event{
 		storeEv(1, 2, lineA, false, false),
 		loadEv(2, 3, lineA, core.LoadFromStore, 1, false),
 		squashEv(2, 4),
 		loadEv(2, 6, lineA, core.LoadFromStore, 1, false), // replay
 		commitEv(1, 8, lineA),
-		retireEv(1, 8, lineA),
-		retireEv(2, 9, lineA),
+		retireEv(isa.OpStore, 1, 8, lineA),
+		retireEv(isa.OpLoad, 2, 9, lineA),
 	} {
 		ch.Observe(ev)
 	}
@@ -338,6 +344,46 @@ func TestCheckerSquashReplay(t *testing.T) {
 	}
 	if ch.Stats().Squashes != 1 {
 		t.Errorf("squashes = %d, want 1", ch.Stats().Squashes)
+	}
+}
+
+// TestCheckerIgnoresNonMemOps interleaves issue and retire events of an
+// ALU op and a branch with a clean memory sequence. The checker must
+// ignore them: seq 3 retiring ahead of seq 4 would otherwise break
+// retire-order, and their retires name ops it never saw issue.
+func TestCheckerIgnoresNonMemOps(t *testing.T) {
+	mem := []core.Event{
+		storeEv(1, 2, lineA, false, false),
+		loadEv(4, 3, lineA, core.LoadFromStore, 1, false),
+		commitEv(1, 10, lineA),
+		retireEv(isa.OpStore, 1, 10, lineA),
+		retireEv(isa.OpLoad, 4, 11, lineA),
+	}
+	mixed := []core.Event{
+		nonMemEv(core.EventIssue, isa.OpIntAlu, 2, 1),
+		mem[0],
+		nonMemEv(core.EventIssue, isa.OpBranch, 3, 2),
+		mem[1],
+		mem[2],
+		mem[3],
+		nonMemEv(core.EventRetire, isa.OpIntAlu, 2, 10),
+		nonMemEv(core.EventRetire, isa.OpBranch, 3, 11),
+		mem[4],
+		nonMemEv(core.EventRetire, isa.OpBranch, 3, 12),
+	}
+	want := NewChecker(1)
+	for _, ev := range mem {
+		want.Observe(ev)
+	}
+	got := NewChecker(1)
+	for _, ev := range mixed {
+		got.Observe(ev)
+	}
+	if v := got.Violations(); len(v) != 0 {
+		t.Fatalf("non-memory events produced violations: %v", v)
+	}
+	if got.Stats() != want.Stats() {
+		t.Errorf("non-memory events changed stats: %+v, want %+v", got.Stats(), want.Stats())
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 
 // runChip is runOnce's chip-mode body (Config.NumCores >= 2): the job runs
 // on an N-core chip, stepped one allocation epoch at a time so the context
-// and cycle budget are checked between epochs. Job.Attach is a per-core
-// observer hook and does not apply to chip jobs; it is ignored.
+// and cycle budget are checked between epochs. Job.Attach hands out one
+// core for its event stream, and a chip has no single core that lives for
+// the whole run (migration rebuilds cores), so chip jobs ignore it.
 func (r *Runner) runChip(ctx context.Context, job Job, warmup, measure int64, attempt int) (*core.Result, *SimError) {
 	streams := job.Streams
 	if streams == nil {

@@ -84,7 +84,7 @@ func (r *Runner) runResult(ctx context.Context, cfg config.Config, mix workload.
 
 // runRecorded executes cfg over mix with bounded streams (limit insts per
 // thread) until every thread drains, recording retirement through the
-// retire observer. It verifies each thread retires sequence numbers
+// core's retire events. It verifies each thread retires sequence numbers
 // 0,1,2,... in strict program order with no drops or duplicates, and
 // returns the per-thread retire counts.
 func (r *Runner) runRecorded(ctx context.Context, cfg config.Config, mix workload.Mix, insts int64) ([]int64, error) {
@@ -108,12 +108,15 @@ func (r *Runner) runStreams(ctx context.Context, cfg config.Config, mix workload
 	}
 	next := make([]int64, cfg.Threads)
 	var orderErr error
-	c.SetRetireObserver(func(tid int, seq int64) {
-		if orderErr == nil && seq != next[tid] {
-			orderErr = fmt.Errorf("runner: %s on %s: thread %d retired seq %d out of program order (expected %d)",
-				cfg.Name, mix.Name(), tid, seq, next[tid])
+	c.SetObserver(func(ev core.Event) {
+		if ev.Kind != core.EventRetire {
+			return
 		}
-		next[tid]++
+		if orderErr == nil && ev.Seq != next[ev.Tid] {
+			orderErr = fmt.Errorf("runner: %s on %s: thread %d retired seq %d out of program order (expected %d)",
+				cfg.Name, mix.Name(), ev.Tid, ev.Seq, next[ev.Tid])
+		}
+		next[ev.Tid]++
 	})
 
 	if err := r.driveToCompletion(ctx, cfg, mix, c, insts); err != nil {

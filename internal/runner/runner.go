@@ -77,9 +77,10 @@ type Job struct {
 	Warmup  int64
 	Measure int64
 	// Attach, when non-nil, is invoked with the freshly constructed core
-	// before the run starts, so library callers can install per-core
-	// observers (SetMemObserver, SetRetireObserver, tracers) on supervised
-	// runs. Like Streams it is library-only and never serializes. Attach is
+	// before the run starts, so library callers can install the core's
+	// event observer (Core.SetObserver) on supervised runs and read its
+	// state afterwards (the litmus campaign reads FaultInjected). Like
+	// Streams it is library-only and never serializes. Attach is
 	// single-core only: chip jobs (Config.NumCores >= 2) rebuild cores on
 	// thread migration, so there is no stable core to observe; it is ignored
 	// in chip mode.

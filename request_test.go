@@ -102,6 +102,7 @@ func TestRequestResolveFieldErrors(t *testing.T) {
 		{"preset and config", Request{Preset: "base64", Config: &cfg, Kernels: []string{"stream", "branchy"}, Insts: 100}, "preset"},
 		{"no workload", Request{Preset: "base64", Threads: 2, Insts: 100}, "kernels"},
 		{"kernel count mismatch", Request{Preset: "base64", Threads: 2, Kernels: []string{"stream"}, Insts: 100}, "kernels"},
+		{"config kernel count mismatch", Request{Config: &cfg, Kernels: []string{"matblock"}, Insts: 100}, "kernels"},
 		{"unknown kernel", Request{Preset: "base64", Kernels: []string{"nope"}, Insts: 100}, "kernels"},
 		{"thread contradiction", Request{Config: &cfg, Threads: 3, Kernels: []string{"a", "b", "c"}, Insts: 100}, "threads"},
 		{"zero insts", Request{Preset: "base64", Kernels: []string{"stream"}}, "insts"},
@@ -128,29 +129,8 @@ func TestRequestResolveFieldErrors(t *testing.T) {
 	}
 }
 
-// TestRunMatchesDeprecatedWrapper proves the wrappers are thin: the old
-// entry point and the request API produce bit-identical results for the
-// same workload.
-func TestRunMatchesDeprecatedWrapper(t *testing.T) {
-	cfg := Shelf64(2, true)
-	old, err := RunMixWarm(cfg, mustKernels(t, "matblock", "branchy"), 200, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := int64(200)
-	res, err := Run(context.Background(), Request{
-		Config: &cfg, Kernels: []string{"matblock", "branchy"}, Warmup: &warm, Insts: 500,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Fingerprint() != res.Fingerprint() {
-		t.Errorf("wrapper and Run diverge: %s vs %s", old.Fingerprint(), res.Fingerprint())
-	}
-}
-
-// TestRunStreamsRequest exercises the library-only Streams path.
-func TestRunStreamsRequest(t *testing.T) {
+// TestRunStreamBackedRequest exercises the library-only Streams path.
+func TestRunStreamBackedRequest(t *testing.T) {
 	k, err := KernelByName("stream")
 	if err != nil {
 		t.Fatal(err)

@@ -155,22 +155,47 @@ cat BENCH_serve.json
 # injected corruption must be caught by a typed invariant, so a silent
 # pass fails the campaign. A violation writes the shrunken-seed failure
 # manifest where CI collects artifacts.
+#
+# Both campaigns are fixed-seed goldens: their coverage lines (event
+# counts by class) must match exactly, so a change that alters what the
+# checker observes — a lost, duplicated or reordered event, or a timing
+# change — fails here even when no axiom breaks. The counts are identical
+# under -race and at any GOMAXPROCS.
 SHELFLITMUS="${SHELFLITMUS:-/tmp/shelfsim-tools/shelflitmus}"
 LITMUS_MANIFEST="${LITMUS_MANIFEST:-/tmp/litmus_manifest.json}"
+LITMUS_OUT="$(mktemp)"
 go build -race -o "$SHELFLITMUS" ./cmd/shelflitmus
 if ! "$SHELFLITMUS" -n 1000 -seed 1 -preset shelf64-opt -fault-sample 3 \
-    -manifest "$LITMUS_MANIFEST"; then
+    -manifest "$LITMUS_MANIFEST" > "$LITMUS_OUT"; then
+    cat "$LITMUS_OUT"
     [ -s "$LITMUS_MANIFEST" ] && cat "$LITMUS_MANIFEST"
     exit 1
 fi
+cat "$LITMUS_OUT"
+grep -qxF '  coverage: 116480 loads (29934 store-fwd, 0 load-fwd), 163335 stores (0 coalesced), 161403 commits, 46979 squashes' \
+    "$LITMUS_OUT" || { echo "litmus seed-1 coverage differs from the golden"; exit 1; }
 # Practical steering rarely coalesces shelf stores, so a second, smaller
 # sweep pins everything to the shelf to keep the coalescing and
 # load-to-load-forwarding axioms exercised against live traffic.
 if ! "$SHELFLITMUS" -n 300 -seed 2 -preset shelf64-opt -steer all-shelf \
-    -fault-sample 0 -manifest "$LITMUS_MANIFEST"; then
+    -fault-sample 0 -manifest "$LITMUS_MANIFEST" > "$LITMUS_OUT"; then
+    cat "$LITMUS_OUT"
     [ -s "$LITMUS_MANIFEST" ] && cat "$LITMUS_MANIFEST"
     exit 1
 fi
+cat "$LITMUS_OUT"
+grep -qxF '  coverage: 32697 loads (3624 store-fwd, 0 load-fwd), 42697 stores (19834 coalesced), 22787 commits, 13229 squashes' \
+    "$LITMUS_OUT" || { echo "litmus seed-2 coverage differs from the golden"; exit 1; }
+rm -f "$LITMUS_OUT"
+
+# Examples smoke: every program under examples/ is built as a release
+# binary and run to completion, so an example that compiles but fails at
+# runtime (a rejected Request, say) fails CI.
+for ex in examples/*/; do
+    bin="$(dirname "$SHELFVET")/example-$(basename "$ex")"
+    go build -o "$bin" "./$ex"
+    "$bin"
+done
 
 # Telemetry overhead gate. The telemetry-off hot path differs from the seed
 # only by nil-receiver checks on the collector, so off-vs-on measured in one
@@ -178,12 +203,14 @@ fi
 # confound machine noise with the change). Best-of-3 per benchmark filters
 # scheduler noise; fail if the telemetry-off best is slower than 97% of the
 # telemetry-on best — that can only happen through a pathological regression
-# in the off path, since on does strictly more work.
+# in the off path, since on does strictly more work. go test suffixes
+# benchmark names with -GOMAXPROCS when it is above 1, so every awk
+# pattern below accepts an optional -N.
 go test -run '^$' -bench 'BenchmarkSimulatorThroughput$|BenchmarkSimulatorThroughputTelemetry$|BenchmarkSimulatorThroughputBase$' \
     -benchtime 2x -count 3 . | tee /tmp/bench_obs.txt
 awk '
-    /^BenchmarkSimulatorThroughput /          { if ($(NF-1) > off) off = $(NF-1) }
-    /^BenchmarkSimulatorThroughputTelemetry / { if ($(NF-1) > on)  on  = $(NF-1) }
+    /^BenchmarkSimulatorThroughput(-[0-9]+)? /          { if ($(NF-1) > off) off = $(NF-1) }
+    /^BenchmarkSimulatorThroughputTelemetry(-[0-9]+)? / { if ($(NF-1) > on)  on  = $(NF-1) }
     END {
         if (off == 0 || on == 0) { print "missing benchmark output"; exit 1 }
         overhead = 1 - on / off
@@ -208,8 +235,8 @@ cat BENCH_obs.json
 SHELF_BASELINE=$(sed -n 's/.*"shelf64_insts_per_s": *\([0-9][0-9]*\).*/\1/p' scripts/bench_core_baseline.json)
 BASE_BASELINE=$(sed -n 's/.*"base64_insts_per_s": *\([0-9][0-9]*\).*/\1/p' scripts/bench_core_baseline.json)
 awk -v shelf_ref="$SHELF_BASELINE" -v base_ref="$BASE_BASELINE" '
-    /^BenchmarkSimulatorThroughput /     { if ($(NF-1) > shelf) shelf = $(NF-1) }
-    /^BenchmarkSimulatorThroughputBase / { if ($(NF-1) > base)  base  = $(NF-1) }
+    /^BenchmarkSimulatorThroughput(-[0-9]+)? /     { if ($(NF-1) > shelf) shelf = $(NF-1) }
+    /^BenchmarkSimulatorThroughputBase(-[0-9]+)? / { if ($(NF-1) > base)  base  = $(NF-1) }
     END {
         if (shelf == 0 || base == 0) { print "missing core benchmark output"; exit 1 }
         if (shelf_ref == 0 || base_ref == 0) { print "missing bench_core_baseline.json values"; exit 1 }
@@ -239,8 +266,8 @@ NCPU="$(nproc 2>/dev/null || echo 1)"
 go test -run '^$' -bench 'BenchmarkChipThroughput$' -benchtime 2x -count 3 . | tee /tmp/bench_chip.txt
 MIN_EFF=$(sed -n 's/.*"min_scaling_efficiency": *\([0-9.][0-9.]*\).*/\1/p' scripts/bench_chip_baseline.json)
 awk -v ncpu="$NCPU" -v min_eff="$MIN_EFF" '
-    /^BenchmarkSimulatorThroughput / { if ($(NF-1) > shelf) shelf = $(NF-1) }
-    /^BenchmarkChipThroughput /      { if ($(NF-1) > chip)  chip  = $(NF-1) }
+    /^BenchmarkSimulatorThroughput(-[0-9]+)? / { if ($(NF-1) > shelf) shelf = $(NF-1) }
+    /^BenchmarkChipThroughput(-[0-9]+)? /      { if ($(NF-1) > chip)  chip  = $(NF-1) }
     END {
         if (shelf == 0 || chip == 0) { print "missing chip benchmark output"; exit 1 }
         if (min_eff == "") { print "missing bench_chip_baseline.json floor"; exit 1 }

@@ -1,13 +1,19 @@
 package shelfsim
 
 import (
-	"strings"
+	"context"
 	"testing"
 )
 
+// TestRunKernelsQuick runs a small embedded-config request end to end:
+// every thread measures exactly its window and practical steering uses the
+// shelf.
 func TestRunKernelsQuick(t *testing.T) {
 	cfg := Shelf64(2, true)
-	res, err := RunMixWarm(cfg, mustKernels(t, "matblock", "branchy"), 200, 500)
+	warm := int64(200)
+	res, err := Run(context.Background(), Request{
+		Config: &cfg, Kernels: []string{"matblock", "branchy"}, Warmup: &warm, Insts: 500,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +30,13 @@ func TestRunKernelsQuick(t *testing.T) {
 	}
 }
 
+// TestRunKernelsByName checks that a request naming its kernels keeps the
+// embedded config's name in the result.
 func TestRunKernelsByName(t *testing.T) {
-	res, err := RunKernels(Base64(2), []string{"ilpmax", "fpdense"}, 400)
+	cfg := Base64(2)
+	res, err := Run(context.Background(), Request{
+		Config: &cfg, Kernels: []string{"ilpmax", "fpdense"}, Insts: 400,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,38 +45,24 @@ func TestRunKernelsByName(t *testing.T) {
 	}
 }
 
-func TestRunSingle(t *testing.T) {
-	k, err := KernelByName("matblock")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunSingle(Base64(4), k, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Threads) != 1 {
-		t.Fatalf("single run has %d threads", len(res.Threads))
-	}
-	if !strings.HasSuffix(res.Config, "-1t") {
-		t.Errorf("config name %q", res.Config)
-	}
-}
-
+// TestRunMixErrors checks that Run itself, not only Resolve, refuses a
+// malformed workload before simulating anything.
 func TestRunMixErrors(t *testing.T) {
-	if _, err := RunKernels(Base64(2), []string{"matblock"}, 100); err == nil {
-		t.Error("kernel count mismatch accepted")
+	two, one := Base64(2), Base64(1)
+	cases := []struct {
+		name string
+		req  Request
+	}{
+		{"kernel count mismatch", Request{Config: &two, Kernels: []string{"matblock"}, Insts: 100}},
+		{"unknown kernel", Request{Config: &one, Kernels: []string{"nope"}, Insts: 100}},
+		{"zero instruction budget", Request{Config: &one, Kernels: []string{"matblock"}}},
+		{"negative warmup", Request{Config: &one, Kernels: []string{"matblock"}, Insts: 100, Warmup: i64p(-1)}},
+		{"nil stream", Request{Config: &one, Streams: []Stream{nil}, Insts: 100}},
 	}
-	if _, err := RunKernels(Base64(1), []string{"nope"}, 100); err == nil {
-		t.Error("unknown kernel accepted")
-	}
-	if _, err := RunKernels(Base64(1), []string{"matblock"}, 0); err == nil {
-		t.Error("zero instruction budget accepted")
-	}
-	if _, err := RunMixWarm(Base64(1), mustKernels(t, "matblock"), -1, 100); err == nil {
-		t.Error("negative warmup accepted")
-	}
-	if _, err := RunMix(Base64(1), []*Kernel{nil}, 100); err == nil {
-		t.Error("nil kernel accepted")
+	for _, tc := range cases {
+		if _, err := Run(context.Background(), tc.req); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -81,17 +78,4 @@ func TestPresetAccessors(t *testing.T) {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}
 	}
-}
-
-func mustKernels(t *testing.T, names ...string) []*Kernel {
-	t.Helper()
-	out := make([]*Kernel, len(names))
-	for i, n := range names {
-		k, err := KernelByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = k
-	}
-	return out
 }
